@@ -40,11 +40,19 @@ def _evaluate(chatpattern_model):
                 )
             )
             rows.append(
-                [style, f"{method}-painting", cell.fmt_legality(), cell.fmt_diversity()]
+                [
+                    style,
+                    f"{method}-painting",
+                    cell.fmt_legality(),
+                    cell.fmt_diversity(),
+                    f"{cell.samplings / COUNT:.1f}",
+                    f"{cell.trajectories / COUNT:.1f}",
+                ]
             )
     print_table(
         f"Figure 10 (extension methods at {SIZE}x{SIZE}, {COUNT}/cell)",
-        ["Style", "Method", "Legality", "Diversity"],
+        ["Style", "Method", "Legality", "Diversity", "Samplings/ext",
+         "Trajectories/ext"],
         rows,
     )
     print("\nExperience document the agent would consume:")

@@ -25,7 +25,8 @@ def _generate(chatpattern_model, output_dir):
         assert result.topology.shape == (SIZE, SIZE)
         expected = n_in_samplings(SIZE, SIZE, chatpattern_model.window)
         print(f"\n=== Figure 8 ({style}, In-Painting, "
-              f"{result.samplings}/{expected} samplings) ===")
+              f"{result.samplings}/{expected} samplings in "
+              f"{result.trajectories} trajectories) ===")
         print(ascii_art(result.topology, max_size=64))
         path = write_pgm(
             result.topology,

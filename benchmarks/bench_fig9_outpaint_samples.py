@@ -22,14 +22,19 @@ def _generate(chatpattern_model, output_dir):
     for idx, style in enumerate(STYLES):
         seed = chatpattern_model.sample(1, idx, rng)[0]
         stages = {128: seed}
+        counts = {128: "1 sampling, 1 trajectory"}
         current = seed
         for size in STAGES[1:]:
             result = out_paint(chatpattern_model, current, (size, size), idx, rng)
             current = result.topology
             stages[size] = current
+            counts[size] = (
+                f"{result.samplings} samplings in "
+                f"{result.trajectories} trajectories"
+            )
         print(f"\n=== Figure 9 ({style}, Out-Painting progression) ===")
         for size in STAGES:
-            print(f"-- {size}x{size} --")
+            print(f"-- {size}x{size} ({counts[size]}) --")
             print(ascii_art(stages[size], max_size=48))
             write_pgm(
                 stages[size],

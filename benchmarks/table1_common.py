@@ -29,6 +29,9 @@ class Cell:
     legality: Optional[float]
     diversity: float
     count: int
+    #: extension rows: paper window count and batched trajectories, summed
+    samplings: int = 0
+    trajectories: int = 0
 
     def fmt_legality(self) -> str:
         return "/" if self.legality is None else f"{self.legality:.2%}"
@@ -60,11 +63,14 @@ def extension_cell(
     method: str, rng: np.random.Generator,
 ) -> Cell:
     """ChatPattern free-size row: extend then legalize jointly."""
-    topologies = [
-        extend(model, (size, size), condition, rng, method=method).topology
+    results = [
+        extend(model, (size, size), condition, rng, method=method)
         for _ in range(count)
     ]
-    return generator_cell(topologies, style)
+    cell = generator_cell([r.topology for r in results], style)
+    cell.samplings = sum(r.samplings for r in results)
+    cell.trajectories = sum(r.trajectories for r in results)
+    return cell
 
 
 def concat_cell(

@@ -1,7 +1,9 @@
 """Task execution: the agent's plan-act-observe loop (Fig. 4, boxes #5-#7).
 
-For every pattern in a requirement list the executor runs the standard
-pipeline (generate -> extend -> legalize).  When legalization fails it does
+For every requirement list the executor runs the standard pipeline
+(generate -> extend -> legalize): the list's ``count`` base topologies are
+generated in one tool call — one batched trajectory — and each pattern is
+then extended and legalized on its own.  When legalization fails it does
 *not* hard-code a recovery: it formats the failure log as an observation,
 asks the LLM backend for a ReAct-style decision (Thought / Action / Action
 Input) and dispatches whatever tool the model picks — modification of the
@@ -127,6 +129,7 @@ class TaskExecutor:
         report = SubTaskReport(requirement=requirement)
         start = time.perf_counter()
         calls_before = len(self.tools.call_log)
+        bases: List[str] = []
         for index in range(requirement.count):
             if (
                 requirement.time_limit is not None
@@ -141,8 +144,12 @@ class TaskExecutor:
                     f"after {index}/{requirement.count} patterns",
                 )
                 break
+            if index == 0:
+                # All base topologies in one call, after the first time
+                # check so an exhausted budget does no engine work.
+                bases = self._generate_bases(requirement)
             seed = requirement.seed + index
-            handle = self._build_topology(requirement, seed, report)
+            handle = self._finish_topology(requirement, bases[index], seed)
             self._legalize_with_recovery(requirement, handle, seed, report)
         report.elapsed_seconds = time.perf_counter() - start
         report.tool_calls = len(self.tools.call_log) - calls_before
@@ -150,20 +157,30 @@ class TaskExecutor:
 
     # -- pipeline steps --------------------------------------------------
 
-    def _build_topology(
-        self, requirement: RequirementList, seed: int, report: SubTaskReport
-    ) -> str:
+    def _generate_bases(self, requirement: RequirementList) -> List[str]:
+        """Generate ``requirement.count`` window-sized base topologies.
+
+        One ``Topology_Generation`` call at ``requirement.seed``, hence one
+        batched trajectory; returns their handles.
+        """
         window = self.tools.model.window
         base_size = min(max(requirement.topology_size), window)
         result = self.tools.call(
             "Topology_Generation",
-            seed=seed,
+            seed=requirement.seed,
             style=requirement.style,
             size=base_size,
+            count=requirement.count,
         )
         if not result.ok:
             raise RuntimeError(f"topology generation failed: {result.message}")
-        handle = result.data["topology_path"]
+        return result.data["topology_paths"]
+
+    def _finish_topology(
+        self, requirement: RequirementList, handle: str, seed: int
+    ) -> str:
+        """Extend a base topology when the requirement needs it."""
+        window = self.tools.model.window
         if requirement.needs_extension(window):
             method = requirement.extension_method or "Out"
             result = self.tools.call(
@@ -224,19 +241,18 @@ class TaskExecutor:
                 retries -= 1
                 report.regenerations += 1
                 new_seed = int(step.action_input.get("seed", seed + 104_729))
-                handle = self._build_topology(
-                    RequirementList(
-                        topology_size=requirement.topology_size,
-                        physical_size=requirement.physical_size,
-                        style=requirement.style,
-                        count=1,
-                        extension_method=requirement.extension_method,
-                        drop_allowed=requirement.drop_allowed,
-                        seed=new_seed,
-                        subtask_id=requirement.subtask_id,
-                    ),
-                    new_seed,
-                    report,
+                single = RequirementList(
+                    topology_size=requirement.topology_size,
+                    physical_size=requirement.physical_size,
+                    style=requirement.style,
+                    count=1,
+                    extension_method=requirement.extension_method,
+                    drop_allowed=requirement.drop_allowed,
+                    seed=new_seed,
+                    subtask_id=requirement.subtask_id,
+                )
+                handle = self._finish_topology(
+                    single, self._generate_bases(single)[0], new_seed
                 )
                 self.history.record(
                     "regenerated", requirement.subtask_id, f"seed {new_seed}"

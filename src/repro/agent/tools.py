@@ -163,8 +163,9 @@ class AgentTools:
     def documentation(self) -> str:
         """Tool descriptions injected into the agent prompt (#2 in Fig. 4)."""
         return (
-            "Topology_Generation(seed, style, size): sample a size x size "
-            "topology of the given style; returns a topology path.\n"
+            "Topology_Generation(seed, style, size, count): sample count "
+            "(default 1) size x size topologies of the given style in one "
+            "batch; returns their topology paths.\n"
             "Topology_Extension(topology_path, target_size, method, style, "
             "seed): extend a topology to target_size via method 'Out' "
             "(out-painting) or 'In' (in-painting); returns a topology path.\n"
@@ -193,9 +194,18 @@ class AgentTools:
         return np.random.default_rng((self.base_seed * 1_000_003 + seed) % (2**63))
 
     def topology_generation(
-        self, seed: int, style: str, size: Optional[int] = None
+        self,
+        seed: int,
+        style: str,
+        size: Optional[int] = None,
+        count: int = 1,
     ) -> ToolResult:
-        """Random Topology Generation under a style condition."""
+        """Random Topology Generation under a style condition.
+
+        ``count`` topologies are drawn in one sampling call (one batched
+        trajectory); ``topology_path`` names the first, ``topology_paths``
+        all of them.
+        """
         size = size or self.model.window
         if size > self.model.window:
             return ToolResult(
@@ -205,18 +215,31 @@ class AgentTools:
                     f"{self.model.window}; use Topology_Extension"
                 ),
             )
-        topo = self.pipeline.sample_topologies(
-            1, style, size=size, rng=self._rng(seed)
-        )[0]
-        handle = self.workspace.put(topo, style)
-        cx, cy = topology_complexity(topo)
+        if count < 1:
+            return ToolResult(
+                ok=False, message=f"count must be >= 1, got {count}"
+            )
+        topos = self.pipeline.sample_topologies(
+            count, style, size=size, rng=self._rng(seed)
+        )
+        handles = [self.workspace.put(topo, style) for topo in topos]
+        complexities = [topology_complexity(topo) for topo in topos]
+        described = "; ".join(
+            f"{handle} complexity (cx={cx}, cy={cy})"
+            for handle, (cx, cy) in zip(handles, complexities)
+        )
+        noun = "topology" if count == 1 else f"{count} topologies"
         return ToolResult(
             ok=True,
             message=(
-                f"generated {size}x{size} topology of style {style} at "
-                f"{handle}; complexity (cx={cx}, cy={cy})"
+                f"generated {noun} of size {size}x{size} and style {style}: "
+                f"{described}"
             ),
-            data={"topology_path": handle, "complexity": (cx, cy)},
+            data={
+                "topology_path": handles[0],
+                "topology_paths": handles,
+                "complexity": complexities[0],
+            },
         )
 
     def topology_extension(
@@ -245,10 +268,14 @@ class AgentTools:
             ok=True,
             message=(
                 f"extended to {target_size}x{target_size} via "
-                f"{method}-painting with {result.samplings} samplings; "
-                f"result at {handle}"
+                f"{method}-painting with {result.samplings} samplings in "
+                f"{result.trajectories} trajectories; result at {handle}"
             ),
-            data={"topology_path": handle, "samplings": result.samplings},
+            data={
+                "topology_path": handle,
+                "samplings": result.samplings,
+                "trajectories": result.trajectories,
+            },
         )
 
     def legalization(

@@ -285,6 +285,8 @@ class ConditionalDiffusionModel:
         rng: np.random.Generator,
         shape: Optional[Tuple[int, int]] = None,
         sampler_steps: SamplerSteps = None,
+        known: Optional[np.ndarray] = None,
+        keep: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Sample ``count`` topologies via the reverse chain (Eq. 11).
 
@@ -293,10 +295,19 @@ class ConditionalDiffusionModel:
         :mod:`repro.ops.extend` instead, matching the paper's free-size
         pipeline.  ``sampler_steps`` overrides the model's step schedule for
         this trajectory (see :meth:`reverse_step_plan`).
+
+        ``known``/``keep`` stacks make the call a masked repaint; it then
+        runs as one :meth:`sample_batch` trajectory — the same call the
+        serving engine makes — so modification has a single implementation.
         """
         if not self.fitted:
             raise RuntimeError("model not fitted; call fit() first")
         h, w = shape or (self.window, self.window)
+        if known is not None or keep is not None:
+            return self.sample_batch(
+                [condition] * count, rng, shape=(h, w),
+                sampler_steps=sampler_steps, known=known, keep=keep,
+            )
         xk = self.prior_sample((count, h, w), rng)
         for k, k_next in self.reverse_step_plan(sampler_steps):
             xk = self.denoise_step(
@@ -413,6 +424,8 @@ class ConditionalDiffusionModel:
         rng: np.random.Generator,
         shape: Optional[Tuple[int, int]] = None,
         sampler_steps: SamplerSteps = None,
+        known: Optional[np.ndarray] = None,
+        keep: Optional[np.ndarray] = None,
     ) -> np.ndarray:
         """Sample ``len(conditions)`` topologies in ONE reverse trajectory.
 
@@ -422,6 +435,15 @@ class ConditionalDiffusionModel:
         Returns a ``(len(conditions), H, W)`` uint8 array whose i-th item is
         conditioned on ``conditions[i]``.  ``sampler_steps`` overrides the
         model's step schedule for this trajectory.
+
+        ``known``/``keep`` (``(B, H, W)`` stacks, given together) make rows
+        masked repaints (Eq. 12, RePaint): at every step a row with any
+        kept cell is blended as ``keep * noise_to(known, k_next) +
+        (1 - keep) * step``, and after the batched polish its kept cells
+        are restored byte-for-byte and corner touches straddling the keep
+        boundary are cleared on the regenerated side.  A row whose ``keep``
+        is all zero is a plain sample, so masked and plain work share one
+        trajectory.
         """
         if not self.fitted:
             raise RuntimeError("model not fitted; call fit() first")
@@ -429,13 +451,84 @@ class ConditionalDiffusionModel:
         h, w = shape or (self.window, self.window)
         if not conditions:
             return np.zeros((0, h, w), dtype=np.uint8)
+        known, keep, masked = _masked_rows(
+            known, keep, (len(conditions), h, w)
+        )
         xk = self.prior_sample((len(conditions), h, w), rng)
         for k, k_next in self.reverse_step_plan(sampler_steps):
             xk = self.denoise_step_batch(
                 xk, k, conditions, rng,
                 deterministic=(k_next == 0), k_next=k_next,
             )
-        return self.polish_batch(xk, conditions)
+            if len(masked):
+                # T_{k_next}^known ~ q(. | T_0^known), blended over the step.
+                noised = self.noise_to(known[masked], k_next, rng)
+                xk[masked] = np.where(keep[masked] == 1, noised, xk[masked])
+        out = self.polish_batch(xk, conditions)
+        for i in masked:
+            combined = np.where(keep[i] == 1, known[i], out[i])
+            out[i] = _resolve_masked_corners(combined, keep[i])
+        return out
+
+
+def _masked_rows(
+    known: Optional[np.ndarray],
+    keep: Optional[np.ndarray],
+    shape: Tuple[int, int, int],
+) -> Tuple[Optional[np.ndarray], Optional[np.ndarray], np.ndarray]:
+    """Validate repaint stacks; returns ``(known, keep, masked_rows)``.
+
+    ``masked_rows`` indexes the rows holding at least one kept cell — the
+    only rows the RePaint blend touches.
+    """
+    if known is None and keep is None:
+        return None, None, np.zeros(0, dtype=np.intp)
+    if known is None or keep is None:
+        raise ValueError("known and keep must be given together")
+    known = np.asarray(known, dtype=np.uint8)
+    keep = np.asarray(keep, dtype=np.uint8)
+    if known.shape != shape or keep.shape != shape:
+        raise ValueError(
+            f"known {known.shape} / keep {keep.shape} must both be {shape}"
+        )
+    return known, keep, np.flatnonzero(keep.reshape(shape[0], -1).any(axis=1))
+
+
+def _resolve_masked_corners(
+    topology: np.ndarray, keep_mask: np.ndarray
+) -> np.ndarray:
+    """Clear corner touches that straddle the keep boundary.
+
+    The polish resolves corner defects on the full window, but cells in the
+    kept region are restored afterwards, which can re-introduce a
+    corner-touching pair across the mask boundary.  Here the *regenerated*
+    cell of each offending pair is cleared; kept cells are never altered
+    (the existing pattern must survive modification byte-for-byte).
+    """
+    from repro.geometry.grid import diagonal_touch_pairs
+
+    out = topology.copy()
+    for _ in range(8):
+        touches = diagonal_touch_pairs(out)
+        if not touches:
+            break
+        changed = False
+        for row, col in touches:
+            cells = [
+                (r, c)
+                for r, c in (
+                    (row, col), (row + 1, col + 1),
+                    (row, col + 1), (row + 1, col),
+                )
+                if out[r, c]
+            ]
+            editable = [rc for rc in cells if keep_mask[rc] == 0]
+            if editable:
+                out[editable[0]] = 0
+                changed = True
+        if not changed:
+            break
+    return out
 
 
 def _clear_weakest_touch_cells(

@@ -10,18 +10,27 @@ memory-friendly "working space"):
 - **In-Painting** first lays independent tiles on a grid, then re-paints the
   seams (vertical, horizontal, then the corner crossings) so adjacent tiles
   merge.  ``N_in = (2*ceil(W/L)-1) * (2*ceil(H/L)-1)`` samplings.
+
+Windows that cannot see each other's output share one batched reverse
+trajectory (RePaint rows of one ``sample`` call): In-Painting draws all its
+tiles in one trajectory and repaints each seam phase in one more, because
+the windows of a phase never overlap; Out-Painting visits its windows in
+*waves*, a window's wave being one past the highest wave of any
+earlier-in-raster window overlapping it.  Every window therefore sees
+exactly the known region the serial raster scan gave it.
+``ExtensionResult.samplings`` keeps the paper's window count;
+``ExtensionResult.trajectories`` counts the batched trajectories run.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.diffusion.model import ConditionalDiffusionModel
-from repro.ops.modify import modify
 
 
 def n_in_samplings(width: int, height: int, window: int) -> int:
@@ -40,12 +49,18 @@ def n_out_samplings(width: int, height: int, window: int, stride: int) -> int:
 
 @dataclass
 class ExtensionResult:
-    """Extended topology plus bookkeeping for the agent's documents."""
+    """Extended topology plus bookkeeping for the agent's documents.
+
+    ``samplings`` is the paper's window count (N_in / N_out);
+    ``trajectories`` is how many batched reverse trajectories produced
+    those windows.
+    """
 
     topology: np.ndarray
     method: str
     samplings: int
     windows: List[Tuple[int, int]] = field(default_factory=list)
+    trajectories: int = 0
 
 
 def _window_starts(extent: int, window: int, stride: int) -> List[int]:
@@ -55,6 +70,69 @@ def _window_starts(extent: int, window: int, stride: int) -> List[int]:
     starts = list(range(0, extent - window, stride))
     starts.append(extent - window)
     return starts
+
+
+def _repaint_windows(
+    model: ConditionalDiffusionModel,
+    canvas: np.ndarray,
+    windows: Sequence[Tuple[int, int]],
+    keeps: Sequence[np.ndarray],
+    condition: Optional[int],
+    rng: np.random.Generator,
+    sampler_steps,
+) -> None:
+    """Repaint non-overlapping ``canvas`` windows in one trajectory."""
+    window = model.window
+    known = np.stack(
+        [canvas[r0 : r0 + window, c0 : c0 + window] for r0, c0 in windows]
+    )
+    painted = model.sample(
+        len(windows), condition, rng, shape=(window, window),
+        sampler_steps=sampler_steps, known=known, keep=np.stack(keeps),
+    )
+    for (r0, c0), tile in zip(windows, painted):
+        canvas[r0 : r0 + window, c0 : c0 + window] = tile
+
+
+def out_paint_waves(
+    target_shape: Tuple[int, int],
+    window: int,
+    stride: int,
+    seed_shape: Tuple[int, int],
+) -> List[List[Tuple[int, int]]]:
+    """Out-Painting's window schedule: the raster scan grouped into waves.
+
+    A raster window is painted when the known region (seed plus every
+    earlier painted window) does not already cover it.  Its wave is 1 + the
+    highest wave of any earlier-in-raster painted window it overlaps, so
+    overlapping windows keep their raster order and windows within one
+    wave never overlap.  Returns the waves in order, each listing its
+    windows' ``(row, col)`` origins in raster order.
+    """
+    height, width = target_shape
+    known = np.zeros((height, width), dtype=bool)
+    known[: seed_shape[0], : seed_shape[1]] = True
+    painted: List[Tuple[int, int, int]] = []
+    for r0 in _window_starts(height, window, stride):
+        for c0 in _window_starts(width, window, stride):
+            if known[r0 : r0 + window, c0 : c0 + window].all():
+                continue  # fully known, nothing to generate
+            wave = 1 + max(
+                (
+                    w
+                    for r, c, w in painted
+                    if abs(r - r0) < window and abs(c - c0) < window
+                ),
+                default=0,
+            )
+            painted.append((r0, c0, wave))
+            known[r0 : r0 + window, c0 : c0 + window] = True
+    waves: List[List[Tuple[int, int]]] = [
+        [] for _ in range(max((w for _, _, w in painted), default=0))
+    ]
+    for r0, c0, wave in painted:
+        waves[wave - 1].append((r0, c0))
+    return waves
 
 
 def out_paint(
@@ -68,8 +146,9 @@ def out_paint(
 ) -> ExtensionResult:
     """Extend ``seed_topology`` to ``target_shape`` by Out-Painting.
 
-    The seed is placed at the origin; windows are visited in raster order so
-    every new window overlaps already-known cells on its top/left border.
+    The seed is placed at the origin; windows are visited in raster order
+    (batched by :func:`out_paint_waves`) so every new window overlaps
+    already-known cells on its top/left border.
     """
     seed = np.asarray(seed_topology, dtype=np.uint8)
     window = model.window
@@ -85,24 +164,24 @@ def out_paint(
     canvas[: seed.shape[0], : seed.shape[1]] = seed
     known[: seed.shape[0], : seed.shape[1]] = 1
 
-    samplings = 0
-    visited: List[Tuple[int, int]] = []
-    for r0 in _window_starts(height, window, stride):
-        for c0 in _window_starts(width, window, stride):
-            sub_known = known[r0 : r0 + window, c0 : c0 + window]
-            if sub_known.min() == 1:
-                continue  # fully known, nothing to generate
-            sub_canvas = canvas[r0 : r0 + window, c0 : c0 + window]
-            painted = modify(
-                model, sub_canvas, sub_known, condition, rng,
-                sampler_steps=sampler_steps,
-            )
-            canvas[r0 : r0 + window, c0 : c0 + window] = painted
+    waves = out_paint_waves(target_shape, window, stride, seed.shape)
+    for wave in waves:
+        keeps = [
+            known[r0 : r0 + window, c0 : c0 + window].copy()
+            for r0, c0 in wave
+        ]
+        _repaint_windows(
+            model, canvas, wave, keeps, condition, rng, sampler_steps
+        )
+        for r0, c0 in wave:
             known[r0 : r0 + window, c0 : c0 + window] = 1
-            samplings += 1
-            visited.append((r0, c0))
+    visited = sorted(origin for wave in waves for origin in wave)
     return ExtensionResult(
-        topology=canvas, method="out", samplings=samplings, windows=visited
+        topology=canvas,
+        method="out",
+        samplings=len(visited),
+        windows=visited,
+        trajectories=len(waves),
     )
 
 
@@ -120,10 +199,11 @@ def in_paint(
     Independent window tiles are laid on a grid (the optional seed becomes
     tile (0, 0)); the adjacency borders and corners of the concatenated
     matrix are then re-painted (Fig. 7).  The canvas is generated at the
-    tile-aligned size and cropped to ``target_shape``.
+    tile-aligned size and cropped to ``target_shape``.  All drawn tiles
+    share one trajectory, and each seam phase shares one more.
     """
     window = model.window
-    band = seam_band or window // 2
+    band = window // 2 if seam_band is None else seam_band
     if not 0 < band < window:
         raise ValueError("seam_band must be in (0, window)")
     height, width = target_shape
@@ -131,64 +211,73 @@ def in_paint(
     gx = math.ceil(width / window)
     full_h, full_w = gy * window, gx * window
 
+    seed = None
+    if seed_topology is not None:
+        seed = np.asarray(seed_topology, dtype=np.uint8)
+        if seed.shape != (window, window):
+            raise ValueError("seed must match the model window")
+    tiles = [(j * window, i * window) for j in range(gy) for i in range(gx)]
+    drawn = tiles[1:] if seed is not None else tiles
     canvas = np.zeros((full_h, full_w), dtype=np.uint8)
-    samplings = 0
-    visited: List[Tuple[int, int]] = []
-    for j in range(gy):
-        for i in range(gx):
-            if i == 0 and j == 0 and seed_topology is not None:
-                seed = np.asarray(seed_topology, dtype=np.uint8)
-                if seed.shape != (window, window):
-                    raise ValueError("seed must match the model window")
-                tile = seed
-            else:
-                tile = model.sample(
-                    1, condition, rng, sampler_steps=sampler_steps
-                )[0]
-                samplings += 1
-            canvas[j * window : (j + 1) * window, i * window : (i + 1) * window] = tile
-            visited.append((j * window, i * window))
+    if seed is not None:
+        canvas[:window, :window] = seed
+    trajectories = 0
+    if drawn:
+        samples = model.sample(
+            len(drawn), condition, rng, sampler_steps=sampler_steps
+        )
+        for (r0, c0), tile in zip(drawn, samples):
+            canvas[r0 : r0 + window, c0 : c0 + window] = tile
+        trajectories += 1
+    samplings = len(drawn)
+    visited: List[Tuple[int, int]] = list(tiles)
 
     half = band // 2
-
-    def repaint(r0: int, c0: int, keep: np.ndarray) -> None:
-        nonlocal samplings
-        sub = canvas[r0 : r0 + window, c0 : c0 + window]
-        canvas[r0 : r0 + window, c0 : c0 + window] = modify(
-            model, sub, keep, condition, rng, sampler_steps=sampler_steps
+    mid = window // 2
+    band_cells = slice(mid - half, mid + half)
+    vertical = np.ones((window, window), dtype=np.uint8)
+    vertical[:, band_cells] = 0
+    horizontal = np.ones((window, window), dtype=np.uint8)
+    horizontal[band_cells, :] = 0
+    corner = np.ones((window, window), dtype=np.uint8)
+    corner[band_cells, band_cells] = 0
+    phases = (
+        # Vertical seams: windows centred on each internal tile boundary.
+        (
+            [(j * window, i * window - mid)
+             for i in range(1, gx) for j in range(gy)],
+            vertical,
+        ),
+        # Horizontal seams.
+        (
+            [(j * window - mid, i * window)
+             for j in range(1, gy) for i in range(gx)],
+            horizontal,
+        ),
+        # Corner crossings.
+        (
+            [(j * window - mid, i * window - mid)
+             for j in range(1, gy) for i in range(1, gx)],
+            corner,
+        ),
+    )
+    for windows, keep in phases:
+        if not windows:
+            continue
+        _repaint_windows(
+            model, canvas, windows, [keep] * len(windows), condition, rng,
+            sampler_steps,
         )
-        samplings += 1
-        visited.append((r0, c0))
-
-    # Vertical seams: windows centred on each internal tile boundary.
-    for i in range(1, gx):
-        c0 = i * window - window // 2
-        for j in range(gy):
-            keep = np.ones((window, window), dtype=np.uint8)
-            mid = window // 2
-            keep[:, mid - half : mid + half] = 0
-            repaint(j * window, c0, keep)
-    # Horizontal seams.
-    for j in range(1, gy):
-        r0 = j * window - window // 2
-        for i in range(gx):
-            keep = np.ones((window, window), dtype=np.uint8)
-            mid = window // 2
-            keep[mid - half : mid + half, :] = 0
-            repaint(r0, i * window, keep)
-    # Corner crossings.
-    for j in range(1, gy):
-        for i in range(1, gx):
-            keep = np.ones((window, window), dtype=np.uint8)
-            mid = window // 2
-            keep[mid - half : mid + half, mid - half : mid + half] = 0
-            repaint(j * window - window // 2, i * window - window // 2, keep)
+        samplings += len(windows)
+        trajectories += 1
+        visited.extend(windows)
 
     return ExtensionResult(
         topology=canvas[:height, :width],
         method="in",
         samplings=samplings,
         windows=visited,
+        trajectories=trajectories,
     )
 
 
@@ -204,26 +293,28 @@ def extend(
 ) -> ExtensionResult:
     """Dispatch to In-Painting or Out-Painting extension.
 
-    When no seed is given one window-sized sample is drawn first (counted in
-    ``samplings``), matching the agent's standard pipeline (Fig. 4).
+    Without a seed, Out-Painting first draws one window-sized sample
+    (counted in ``samplings`` and ``trajectories``), matching the agent's
+    standard pipeline (Fig. 4); In-Painting draws it as tile (0, 0) in the
+    same trajectory as the other tiles.
     """
     if method not in ("in", "out"):
         raise ValueError(f"unknown extension method {method!r}")
+    if method == "in":
+        return in_paint(
+            model, target_shape, condition, rng, seed_topology=seed_topology,
+            sampler_steps=sampler_steps,
+        )
     extra = 0
     if seed_topology is None:
         seed_topology = model.sample(
             1, condition, rng, sampler_steps=sampler_steps
         )[0]
         extra = 1
-    if method == "out":
-        result = out_paint(
-            model, seed_topology, target_shape, condition, rng, stride=stride,
-            sampler_steps=sampler_steps,
-        )
-    else:
-        result = in_paint(
-            model, target_shape, condition, rng, seed_topology=seed_topology,
-            sampler_steps=sampler_steps,
-        )
+    result = out_paint(
+        model, seed_topology, target_shape, condition, rng, stride=stride,
+        sampler_steps=sampler_steps,
+    )
     result.samplings += extra
+    result.trajectories += extra
     return result

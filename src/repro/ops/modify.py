@@ -2,7 +2,8 @@
 
 RePaint-style: at every reverse step the *kept* region is replaced by a
 forward-noised copy of the existing topology while the masked region is
-generated by the model, conditioned (through the denoiser's receptive field)
+generated by the model (inside the batched trajectory, so several repaints
+share one), conditioned (through the denoiser's receptive field)
 on the kept context.  The class condition must match the style of the kept
 topology — mismatched conditions mix rule decks, the failure mode the
 paper's conditional design exists to avoid.
@@ -38,6 +39,11 @@ def modify(
 ) -> np.ndarray:
     """Regenerate the masked-out cells of ``topology``.
 
+    A count-1 masked ``sample`` call: the RePaint blend runs inside the
+    batched trajectory (:meth:`ConditionalDiffusionModel.sample_batch`),
+    in-process for a fitted model and as an engine job for a serving
+    client.
+
     Args:
         topology: existing clean topology ``T_0^known`` (H, W) in {0,1}.
         keep_mask: 1 = keep the existing cell, 0 = regenerate (``M``).
@@ -58,54 +64,10 @@ def modify(
         )
     if mask.min() == 1:
         return known.copy()
-
-    xk = model.prior_sample(known.shape, rng)
-    for k, k_next in model.reverse_step_plan(sampler_steps):
-        # T_{k_next}^known ~ q(. | T_0^known)  (forward process to k_next)
-        known_prev = model.noise_to(known, k_next, rng)
-        # T_{k_next}^unknown ~ p_theta(. | T_k, c)
-        unknown_prev = model.denoise_step(
-            xk, k, condition, rng, deterministic=(k_next == 0), k_next=k_next
-        )
-        xk = mask * known_prev + (1 - mask) * unknown_prev
-    polished = model.polish(xk, condition)
-    combined = (mask * known + (1 - mask) * polished).astype(np.uint8)
-    return _resolve_masked_corners(combined, mask)
-
-
-def _resolve_masked_corners(topology: np.ndarray, keep_mask: np.ndarray) -> np.ndarray:
-    """Clear corner touches that straddle the keep boundary.
-
-    ``model.polish`` resolves corner defects on the full window, but cells in
-    the kept region are restored afterwards, which can re-introduce a
-    corner-touching pair across the mask boundary.  Here the *regenerated*
-    cell of each offending pair is cleared; kept cells are never altered
-    (the existing pattern must survive modification byte-for-byte).
-    """
-    from repro.geometry.grid import diagonal_touch_pairs
-
-    out = topology.copy()
-    for _ in range(8):
-        touches = diagonal_touch_pairs(out)
-        if not touches:
-            break
-        changed = False
-        for row, col in touches:
-            cells = [
-                (r, c)
-                for r, c in (
-                    (row, col), (row + 1, col + 1),
-                    (row, col + 1), (row + 1, col),
-                )
-                if out[r, c]
-            ]
-            editable = [rc for rc in cells if keep_mask[rc] == 0]
-            if editable:
-                out[editable[0]] = 0
-                changed = True
-        if not changed:
-            break
-    return out
+    return model.sample(
+        1, condition, rng, shape=known.shape, sampler_steps=sampler_steps,
+        known=known[None], keep=mask[None],
+    )[0]
 
 
 def modify_region(

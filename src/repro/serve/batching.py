@@ -17,10 +17,11 @@ engine, with every engine knob (``policy``, ``engine_workers``,
 callers keep the exact pre-engine behavior (one worker, greedy policy,
 unbounded queue).
 
-``BatchedSamplingModel`` is the client half: a drop-in stand-in for the
-fitted model whose ``sample`` rides the shared scheduler while every other
-attribute (``denoise_step``, ``noise_to``, ``schedule`` ...) delegates to
-the real model, so modification/extension code paths work unchanged.
+``BatchedSamplingModel`` is the client half: a stand-in for the fitted
+model whose ``sample`` — plain or masked repaint — rides the shared
+scheduler.  It exposes only read-only model metadata besides; there is no
+denoise primitive to reach around the engine, so modification and
+extension work is admitted, batched and timed like any other job.
 """
 
 from __future__ import annotations
@@ -159,6 +160,9 @@ class MicroBatchScheduler:
         sampler_steps: SamplerSteps = None,
         source: Optional[str] = None,
         deadline: Optional[float] = None,
+        known: Optional[np.ndarray] = None,
+        keep: Optional[np.ndarray] = None,
+        requester=None,
     ) -> SampleJob:
         """Queue a sampling job; returns immediately with its handle.
 
@@ -175,6 +179,9 @@ class MicroBatchScheduler:
             sampler_steps=sampler_steps,
             source=source,
             deadline=deadline,
+            known=known,
+            keep=keep,
+            requester=requester,
         )
 
     # -- observability -------------------------------------------------
@@ -194,11 +201,13 @@ class MicroBatchScheduler:
 class BatchedSamplingModel:
     """Per-request model client that routes ``sample`` through a scheduler.
 
-    Quacks like the wrapped :class:`ConditionalDiffusionModel`: attribute
-    access (``window``, ``fitted``, ``schedule``, ``denoise_step`` ...)
-    delegates to the real model, so the agent's tools and the RePaint-style
-    modification/extension operators run unmodified.  Only the hot path —
-    full-trajectory sampling — is intercepted and coalesced across requests.
+    Quacks like the wrapped :class:`ConditionalDiffusionModel` where the
+    agent's tools and the modification/extension operators need it: the
+    read-only metadata (``window``, ``n_classes``, ``fitted``,
+    ``schedule``, ``denoise_evals``) and ``sample``, which submits every
+    trajectory — plain, or a masked repaint via ``known``/``keep`` — as one
+    engine job.  Denoise primitives (``denoise_step`` ...) are deliberately
+    absent: all work goes through admission, batching and the job timeline.
 
     One client is created per request so its counters double as the
     request's sampling statistics.  ``source`` tags this client's jobs for
@@ -214,7 +223,9 @@ class BatchedSamplingModel:
     each sampling call then starts with a cancel checkpoint (so a
     cancelled request stops before queueing more engine work) and the same
     engine-stamped hops recorded as tracer spans are mirrored into the
-    job's ``engine_events`` — one record, two views.
+    job's ``engine_events`` — one record, two views.  ``requester`` is the
+    request's :meth:`~repro.serve.engine.ServeEngine.request_scope` token,
+    stamped on every job so the engine can close its gather window early.
     """
 
     def __init__(
@@ -224,6 +235,7 @@ class BatchedSamplingModel:
         deadline: Optional[float] = None,
         tracer=None,
         job=None,
+        requester=None,
     ):
         self._scheduler = scheduler
         self._model = scheduler.model
@@ -231,6 +243,7 @@ class BatchedSamplingModel:
         self._deadline = deadline
         self._tracer = tracer if tracer is not None else NULL_TRACER
         self._job = job
+        self._requester = requester
         # One client is usually driven by one request thread, but nothing
         # enforces that — operator code shares a client across the
         # engine's worker threads (and the hammer test does, on purpose).
@@ -243,8 +256,32 @@ class BatchedSamplingModel:
         self.degraded_jobs = 0
         self.batch_sizes: List[int] = []
 
-    def __getattr__(self, name: str):
-        return getattr(self._model, name)
+    # -- read-only model metadata ---------------------------------------
+
+    @property
+    def window(self) -> int:
+        return self._model.window
+
+    @property
+    def n_classes(self) -> int:
+        return self._model.n_classes
+
+    @property
+    def fitted(self) -> bool:
+        return self._model.fitted
+
+    @property
+    def schedule(self):
+        return self._model.schedule
+
+    @property
+    def supports_sampler_steps(self) -> bool:
+        return model_supports_sampler_steps(self._model)
+
+    def denoise_evals(self, sampler_steps: SamplerSteps = None) -> int:
+        return self._model.denoise_evals(sampler_steps)
+
+    # -- sampling ------------------------------------------------------
 
     def sample(
         self,
@@ -253,13 +290,21 @@ class BatchedSamplingModel:
         rng: np.random.Generator,
         shape: Optional[Tuple[int, int]] = None,
         sampler_steps: SamplerSteps = None,
+        known: Optional[np.ndarray] = None,
+        keep: Optional[np.ndarray] = None,
     ) -> np.ndarray:
-        """Batched stand-in for ``ConditionalDiffusionModel.sample``."""
+        """Batched stand-in for ``ConditionalDiffusionModel.sample``.
+
+        One call is one engine job; ``known``/``keep`` stacks make it a
+        masked repaint that rides the same trajectories as plain jobs.
+        """
         if self._job is not None:
             # Cancel checkpoint: a cancelled request must not queue more
             # engine work (raises JobCancelled).
             self._job.check_cancelled()
-        with self._tracer.span("sample", count=int(count)):
+        with self._tracer.span(
+            "sample", count=int(count), masked=known is not None
+        ):
             submit_started = time.perf_counter()
             job = self._scheduler.submit(
                 count,
@@ -272,13 +317,16 @@ class BatchedSamplingModel:
                 sampler_steps=sampler_steps,
                 source=self._source,
                 deadline=self._deadline,
+                known=known,
+                keep=keep,
+                requester=self._requester,
             )
             admitted_at = time.perf_counter()
             self._tracer.record("admission", submit_started, admitted_at)
             if self._job is not None:
                 self._job.record_engine(
                     "admission", submit_started, admitted_at,
-                    count=int(count),
+                    count=int(count), masked=known is not None,
                 )
             result = job.result()
             # Attach the engine-side hops from the timestamps the workers

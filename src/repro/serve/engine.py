@@ -45,8 +45,11 @@ import threading
 import time
 import weakref
 from collections import OrderedDict, deque
+from contextlib import contextmanager
 from concurrent.futures import Future
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import (
+    Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union,
+)
 
 import numpy as np
 
@@ -137,6 +140,13 @@ class EngineJob:
     ``repro.serve.batching.SampleJob`` aliases this class, so the public
     scheduler surface is unchanged; the engine adds the routing/admission
     fields (``model``, ``source``, ``deadline``).
+
+    ``known``/``keep`` (``(count, H, W)`` stacks, or ``None``) make the
+    job a masked repaint (Eq. 12): it rides the same trajectory as plain
+    jobs of its key, its rows blended RePaint-style inside
+    ``sample_batch``.  ``requester`` names the request that submitted it,
+    for the gather window's early close (see
+    :meth:`ServeEngine.request_scope`).
     """
 
     __slots__ = (
@@ -159,6 +169,9 @@ class EngineJob:
         "exec_ended_at",
         "requested_sampler_steps",
         "degrade_level",
+        "known",
+        "keep",
+        "requester",
     )
 
     def __init__(
@@ -173,10 +186,29 @@ class EngineJob:
         model=None,
         model_label: str = "model",
         model_key=None,
+        known: Optional[np.ndarray] = None,
+        keep: Optional[np.ndarray] = None,
+        requester=None,
     ):
         self.count = int(count)
         self.condition = condition
         self.shape = tuple(shape)
+        # Checked at admission: a malformed stack must fail its own
+        # submit, not the shared trajectory of every other rider.
+        if (known is None) != (keep is None):
+            raise ValueError("known and keep must be given together")
+        if known is not None:
+            known = np.asarray(known, dtype=np.uint8)
+            keep = np.asarray(keep, dtype=np.uint8)
+            expected = (self.count, *self.shape)
+            if known.shape != expected or keep.shape != expected:
+                raise ValueError(
+                    f"known {known.shape} / keep {keep.shape} must both "
+                    f"be {expected}"
+                )
+        self.known = known
+        self.keep = keep
+        self.requester = requester
         self.seed = int(seed)
         self.sampler_steps = sampler_steps
         self.source = source
@@ -223,7 +255,9 @@ class TrajectoryPlan:
     stacked and seeds collected — so every backend executes *identical*
     trajectories: the thread tier calls ``model.sample_batch`` in-process,
     the process tier ships everything but the model object to a worker
-    that rebuilds the same rng from the same seeds.
+    that rebuilds the same rng from the same seeds.  ``known``/``keep``
+    stack the riders' repaint masks (zero rows for plain riders), or are
+    ``None`` when no rider is masked.
     """
 
     __slots__ = (
@@ -236,6 +270,8 @@ class TrajectoryPlan:
         "model_label",
         "conditions",
         "seeds",
+        "known",
+        "keep",
     )
 
     def __init__(
@@ -249,6 +285,8 @@ class TrajectoryPlan:
         model_label: str,
         conditions: List[Optional[int]],
         seeds: List[int],
+        known: Optional[np.ndarray] = None,
+        keep: Optional[np.ndarray] = None,
     ):
         self.jobs = jobs
         self.shape = shape
@@ -262,10 +300,27 @@ class TrajectoryPlan:
         self.model_label = model_label
         self.conditions = conditions
         self.seeds = seeds
+        self.known = known
+        self.keep = keep
 
     @property
     def samples(self) -> int:
         return len(self.conditions)
+
+    def sample_kwargs(self) -> Dict:
+        """Keyword arguments of this plan's ``sample_batch`` call.
+
+        The step schedule is passed iff the parent's model declares the
+        capability, the repaint stacks iff some rider is masked — every
+        tier makes the identical call.
+        """
+        kwargs: Dict = {}
+        if self.sampler_steps is not None and self.pass_sampler_steps:
+            kwargs["sampler_steps"] = self.sampler_steps
+        if self.known is not None:
+            kwargs["known"] = self.known
+            kwargs["keep"] = self.keep
+        return kwargs
 
 
 # ---------------------------------------------------------------------------
@@ -558,8 +613,9 @@ class ServeEngine:
             behavior).
         gather_window: seconds a worker keeps collecting after it sees the
             first queued job, giving concurrent submitters a chance to
-            coalesce.  Skipped while draining or once a full batch is
-            queued.
+            coalesce.  Skipped while draining, once a full batch is
+            queued, or once every request running in a
+            :meth:`request_scope` has a job queued.
         max_batch: sample budget per selected batch.
         deadline: default per-job deadline in seconds from submission
             (``None`` = jobs never expire).  Per-job deadlines override it.
@@ -607,6 +663,9 @@ class ServeEngine:
         self._jobs: List[EngineJob] = []
         self._lock = threading.Lock()
         self._has_work = threading.Condition(self._lock)
+        #: requester tokens of the requests currently running in a
+        #: :meth:`request_scope` (guarded by the queue lock)
+        self._running: set = set()
 
         # -- executor pool (layer 3) ----------------------------------
         # Lazy import: executors imports engine types, so the backend
@@ -838,6 +897,36 @@ class ServeEngine:
 
     # -- admission (layer 1) -------------------------------------------
 
+    @contextmanager
+    def request_scope(self) -> Iterator[object]:
+        """Count one request as running; yields its ``requester`` token.
+
+        Jobs submitted with the token let the gather window close as soon
+        as every running request has a job queued: nobody else could join
+        the batch, so waiting out the window would only add latency (a
+        lone request never pays it).  Jobs without a live token never
+        shorten the window.
+        """
+        token = object()
+        with self._has_work:
+            self._running.add(token)
+        try:
+            yield token
+        finally:
+            with self._has_work:
+                self._running.discard(token)
+                self._has_work.notify_all()
+
+    def _all_running_queued_locked(self) -> bool:
+        """Whether every scoped running request has a job queued."""
+        if not self._running:
+            return False
+        queued = {
+            job.requester for job in self._jobs
+            if job.requester in self._running
+        }
+        return len(queued) == len(self._running)
+
     def submit_job(self, job: EngineJob) -> EngineJob:
         """Admit a fully-formed job into the queue (or fast-fail)."""
         if job.count < 1:
@@ -964,12 +1053,14 @@ class ServeEngine:
                         and not self._draining.is_set()
                         and not self._halt.is_set()
                         and self._queued_samples_locked() < self.max_batch
+                        and not self._all_running_queued_locked()
                     ):
                         gather_until = time.perf_counter() + self.gather_window
                         while (
                             self._queued_samples_locked() < self.max_batch
                             and not self._draining.is_set()
                             and not self._halt.is_set()
+                            and not self._all_running_queued_locked()
                         ):
                             remaining = gather_until - time.perf_counter()
                             if remaining <= 0:
@@ -1031,6 +1122,20 @@ class ServeEngine:
             conditions: List[Optional[int]] = []
             for job in group:
                 conditions.extend([job.condition] * job.count)
+            known = keep = None
+            if any(job.known is not None for job in group):
+                # Plain riders become all-zero keep rows of the same blend.
+                blank = [
+                    np.zeros((job.count, *shape), np.uint8) for job in group
+                ]
+                known = np.concatenate([
+                    job.known if job.known is not None else zero
+                    for job, zero in zip(group, blank)
+                ])
+                keep = np.concatenate([
+                    job.keep if job.keep is not None else zero
+                    for job, zero in zip(group, blank)
+                ])
             plans.append(
                 TrajectoryPlan(
                     jobs=group,
@@ -1042,6 +1147,8 @@ class ServeEngine:
                     model_label=group[0].model_label,
                     conditions=conditions,
                     seeds=[job.seed % (2**32) for job in group],
+                    known=known,
+                    keep=keep,
                 )
             )
         return plans
@@ -1053,16 +1160,11 @@ class ServeEngine:
 
     def _run_plan_local(self, plan: TrajectoryPlan, worker: int = 0) -> None:
         rng = np.random.default_rng(np.random.SeedSequence(plan.seeds))
-        kwargs = (
-            {"sampler_steps": plan.sampler_steps}
-            if plan.sampler_steps is not None and plan.pass_sampler_steps
-            else {}
-        )
         started = time.perf_counter()
         try:
             faults.fire("engine.execute")
             samples = plan.model.sample_batch(
-                plan.conditions, rng, shape=plan.shape, **kwargs
+                plan.conditions, rng, shape=plan.shape, **plan.sample_kwargs()
             )
         except Exception as exc:  # propagate to every waiting caller
             self._fail_plan(plan, exc)
@@ -1262,12 +1364,17 @@ class EngineClient:
         sampler_steps: SamplerSteps = None,
         source: Optional[str] = None,
         deadline: Optional[float] = None,
+        known: Optional[np.ndarray] = None,
+        keep: Optional[np.ndarray] = None,
+        requester=None,
     ) -> EngineJob:
         """Queue a sampling job for this client's model; returns its handle.
 
         ``deadline`` is relative seconds from now; jobs still queued past
         it fail with :class:`DeadlineExpiredError`.  A full admission
-        queue raises :class:`QueueFullError` immediately.
+        queue raises :class:`QueueFullError` immediately.  ``known`` /
+        ``keep`` make it a masked repaint job, ``requester`` tags it with
+        a :meth:`ServeEngine.request_scope` token.
         """
         job = EngineJob(
             count=count,
@@ -1283,6 +1390,9 @@ class EngineClient:
             model=self.model,
             model_label=self.label,
             model_key=self.model_key,
+            known=known,
+            keep=keep,
+            requester=requester,
         )
         if deadline is not None:
             if deadline <= 0:

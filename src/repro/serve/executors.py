@@ -28,9 +28,10 @@ crashes beyond ``respawn_limit`` stop the respawning: the slot fails fast
 instead of burning CPU on a poisoned worker.
 
 Reproducibility: the child rebuilds *exactly* the parent's trajectory RNG
-(``SeedSequence`` over the batch's job seeds) and step-schedule kwargs, so
-thread and process tiers produce byte-identical samples for the same
-batch composition — property-tested in ``tests/serve/test_executors.py``.
+(``SeedSequence`` over the batch's job seeds) and ``sample_batch`` kwargs
+(step schedule, repaint stacks), so thread and process tiers produce
+byte-identical samples for the same batch composition — property-tested
+in ``tests/serve/test_executors.py``.
 """
 
 from __future__ import annotations
@@ -493,8 +494,7 @@ class ProcessExecutor(ExecutorBackend):
             list(plan.conditions),
             list(plan.seeds),
             tuple(plan.shape),
-            plan.sampler_steps,
-            plan.pass_sampler_steps,
+            plan.sample_kwargs(),
             ref.as_tuple() if ref is not None else None,
         )
         slot.busy = True
@@ -567,7 +567,7 @@ def _worker_main(
     """Entry point of a spawned worker process.
 
     Protocol (tuples over the pipe): receives ``("exec", task_id, recipe,
-    conditions, seeds, shape, sampler_steps, pass_steps, ref_tuple)`` or
+    conditions, seeds, shape, sample_kwargs, ref_tuple)`` or
     ``("stop",)``; replies ``("ready", pid)`` once at startup, then
     ``("heartbeat", t)`` while executing and ``("ok", task_id, wall,
     inline)`` / ``("err", task_id, message, traceback)`` per batch.
@@ -612,7 +612,7 @@ def _worker_main(
         if not message or message[0] == "stop":
             return
         (_, task_id, recipe, conditions, seeds, shape,
-         sampler_steps, pass_steps, ref_tuple) = message
+         kwargs, ref_tuple) = message
         executing.set()
         try:
             # The canonical worker-crash seam: a kill-mode rule hard-exits
@@ -621,15 +621,10 @@ def _worker_main(
             faults.fire("worker.execute")
             model = registry.get_or_fit(ModelKey.from_dict(recipe))
             # Exactly the engine's trajectory derivation: the rng comes
-            # from the riders' seeds and the step kwarg is passed iff the
-            # parent's thread tier would pass it — byte-identical samples.
+            # from the riders' seeds and the kwargs are the plan's own
+            # (TrajectoryPlan.sample_kwargs) — byte-identical samples.
             rng = np.random.default_rng(
                 np.random.SeedSequence(list(seeds))
-            )
-            kwargs = (
-                {"sampler_steps": sampler_steps}
-                if pass_steps and sampler_steps is not None
-                else {}
             )
             started = time.perf_counter()
             samples = model.sample_batch(

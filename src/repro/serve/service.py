@@ -768,6 +768,15 @@ class PatternService:
     def _handle_one(
         self, request: ServeRequest, job: Optional[Job] = None
     ) -> ServeResponse:
+        # The request counts as running on the engine for its whole life,
+        # so a gather window closes once every running request has a job
+        # queued instead of waiting for submitters that cannot come.
+        with self._client.engine.request_scope() as requester:
+            return self._serve_request(request, job, requester)
+
+    def _serve_request(
+        self, request: ServeRequest, job: Optional[Job], requester
+    ) -> ServeResponse:
         started = time.perf_counter()
         if job is not None:
             job.transition(RUNNING, stage=request.kind)
@@ -777,6 +786,7 @@ class PatternService:
             deadline=request.deadline,
             tracer=self.tracer,
             job=job,
+            requester=requester,
         )
         result: Optional[Union[ChatResult, PipelineResult]] = None
         error: Optional[str] = None

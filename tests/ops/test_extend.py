@@ -131,3 +131,128 @@ class TestNaiveConcat:
     def test_crop(self, small_model):
         out = naive_concat(small_model, (100, 70), 0, np.random.default_rng(12))
         assert out.shape == (100, 70)
+
+
+class RecordingModel:
+    """Window-8 stand-in recording every ``sample`` call's stacks.
+
+    Masked rows come back with their kept cells and ones elsewhere, so a
+    canvas cell shows whether any window regenerated it.
+    """
+
+    window = 8
+
+    def __init__(self):
+        self.calls = []
+
+    def sample(self, count, condition, rng, shape=None, sampler_steps=None,
+               known=None, keep=None):
+        shape = shape or (self.window, self.window)
+        self.calls.append(
+            (count, None if keep is None else keep.copy())
+        )
+        if known is None:
+            return np.zeros((count, *shape), dtype=np.uint8)
+        return np.where(keep == 1, known, 1).astype(np.uint8)
+
+
+def serial_known_masks(target, window, stride, seed_shape):
+    """The raster scan's known mask at each painted window, in order."""
+    from repro.ops.extend import _window_starts
+
+    known = np.zeros(target, dtype=np.uint8)
+    known[: seed_shape[0], : seed_shape[1]] = 1
+    masks = {}
+    for r0 in _window_starts(target[0], window, stride):
+        for c0 in _window_starts(target[1], window, stride):
+            sub = known[r0 : r0 + window, c0 : c0 + window]
+            if sub.min() == 1:
+                continue
+            masks[(r0, c0)] = sub.copy()
+            known[r0 : r0 + window, c0 : c0 + window] = 1
+    return masks
+
+
+class TestBatchedSchedules:
+    @pytest.mark.parametrize(
+        "target,stride,seed_shape",
+        [((16, 16), 4, (8, 8)), ((24, 40), 4, (8, 8)),
+         ((20, 28), 6, (8, 5)), ((32, 32), 8, (8, 8))],
+    )
+    def test_wave_windows_see_the_serial_known_mask(
+        self, target, stride, seed_shape
+    ):
+        from repro.ops.extend import out_paint_waves
+
+        model = RecordingModel()
+        seed = np.zeros(seed_shape, dtype=np.uint8)
+        result = out_paint(
+            model, seed, target, 0, np.random.default_rng(0), stride=stride
+        )
+        waves = out_paint_waves(target, 8, stride, seed_shape)
+        serial = serial_known_masks(target, 8, stride, seed_shape)
+        assert sorted(serial) == result.windows
+        assert [count for count, _ in model.calls] == [len(w) for w in waves]
+        for wave, (_, keeps) in zip(waves, model.calls):
+            for origin, keep in zip(wave, keeps):
+                assert np.array_equal(keep, serial[origin]), origin
+            # Windows of one wave never overlap.
+            for i, (r1, c1) in enumerate(wave):
+                for r2, c2 in wave[i + 1 :]:
+                    assert abs(r1 - r2) >= 8 or abs(c1 - c2) >= 8
+
+    def test_out_paint_counts_at_two_windows(self):
+        model = RecordingModel()
+        result = out_paint(
+            model, np.zeros((8, 8), np.uint8), (16, 16), 0,
+            np.random.default_rng(0),
+        )
+        # N_out windows minus the seed's, in 6 waves instead of 8.
+        assert result.samplings == n_out_samplings(16, 16, 8, 4) - 1 == 8
+        assert result.trajectories == len(model.calls) == 6
+
+    def test_in_paint_phases_share_trajectories(self):
+        model = RecordingModel()
+        result = in_paint(
+            model, (16, 16), 0, np.random.default_rng(0),
+            seed_topology=np.zeros((8, 8), np.uint8),
+        )
+        # 3 drawn tiles + 2 vertical + 2 horizontal + 1 corner windows in
+        # 4 trajectories: tiles, then one per seam phase.
+        assert result.samplings == n_in_samplings(16, 16, 8) - 1 == 8
+        assert result.trajectories == 4
+        assert [count for count, _ in model.calls] == [3, 2, 2, 1]
+        assert model.calls[0][1] is None  # tiles are plain samples
+
+    def test_extend_counts_the_seed(self):
+        out = extend(RecordingModel(), (16, 16), 0, np.random.default_rng(0),
+                     method="out")
+        assert (out.samplings, out.trajectories) == (9, 7)
+        inp = extend(RecordingModel(), (16, 16), 0, np.random.default_rng(0),
+                     method="in")
+        # The seed is tile (0, 0) of the one tile trajectory.
+        assert (inp.samplings, inp.trajectories) == (9, 4)
+
+    def test_in_paint_phases_match_real_model(self, small_model):
+        rng = np.random.default_rng(13)
+        seed = small_model.sample(1, 0, rng)[0]
+        result = in_paint(small_model, (128, 128), 0, rng, seed_topology=seed)
+        assert result.trajectories == 4
+        assert result.samplings == n_in_samplings(128, 128, 64) - 1
+
+
+class TestSeamBand:
+    @pytest.mark.parametrize("band", [0, -2, 8, 9])
+    def test_out_of_range_band_raises(self, band):
+        with pytest.raises(ValueError, match="seam_band"):
+            in_paint(
+                RecordingModel(), (16, 16), 0, np.random.default_rng(0),
+                seam_band=band,
+            )
+
+    def test_default_band_is_half_the_window(self):
+        model = RecordingModel()
+        in_paint(model, (16, 16), 0, np.random.default_rng(0))
+        vertical = model.calls[1][1][0]
+        # band 4 -> the middle 4 columns regenerate.
+        assert (vertical == 0).sum(axis=1).tolist() == [4] * 8

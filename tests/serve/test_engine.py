@@ -393,3 +393,121 @@ class TestDeliveryIdentity:
         with engine:
             pass  # drain on exit
         assert recorded == [[0, 1, 2, 3]]
+
+
+class TestMaskedJobs:
+    def test_masked_and_plain_jobs_share_one_trajectory(self):
+        model = StubModel()
+        engine = ServeEngine(gather_window=0.0)
+        client = engine.bind(model)
+        known = np.ones((2, 16, 16), dtype=np.uint8)
+        keep = np.zeros((2, 16, 16), dtype=np.uint8)
+        keep[:, :4] = 1
+        plain = client.submit(1, 0, seed=1)
+        masked = client.submit(2, 1, seed=2, known=known, keep=keep)
+        with engine:
+            plain.result(timeout=30)
+            masked.result(timeout=30)
+        assert len(model.calls) == 1
+        call = model.calls[0]
+        assert call["conditions"] == [0, 1, 1]
+        # The plain rider is an all-zero keep row of the same blend.
+        assert call["keep"][0].sum() == 0
+        assert np.array_equal(call["keep"][1:], keep)
+        assert np.array_equal(call["known"][1:], known)
+
+    def test_plain_plans_pass_no_stacks(self):
+        model = StubModel()
+        engine = ServeEngine(gather_window=0.0)
+        client = engine.bind(model)
+        job = client.submit(2, 0, seed=1)
+        with engine:
+            job.result(timeout=30)
+        assert "known" not in model.calls[0] and "keep" not in model.calls[0]
+
+    def test_bad_stacks_rejected_at_submit(self):
+        client = ServeEngine().bind(StubModel())
+        stack = np.zeros((1, 16, 16), dtype=np.uint8)
+        with pytest.raises(ValueError, match="together"):
+            client.submit(1, 0, known=stack)
+        with pytest.raises(ValueError, match="must both be"):
+            client.submit(2, 0, known=stack, keep=stack)
+
+
+class TestGatherEarlyClose:
+    """The gather window closes once every running request has queued."""
+
+    def test_lone_request_skips_the_gather_floor(self):
+        engine = ServeEngine(gather_window=0.5)
+        client = engine.bind(StubModel())
+        with engine, engine.request_scope() as requester:
+            job = client.submit(1, 0, seed=1, requester=requester)
+            job.result(timeout=30)
+        assert job.queue_wait < 0.1
+
+    def test_unscoped_jobs_keep_the_full_window(self):
+        engine = ServeEngine(gather_window=0.2)
+        client = engine.bind(StubModel())
+        with engine:
+            job = client.submit(1, 0, seed=1)
+            job.result(timeout=30)
+        assert job.queue_wait >= 0.15
+
+    def test_concurrent_requests_still_share_one_trajectory(self):
+        model = StubModel()
+        engine = ServeEngine(gather_window=0.5)
+        client = engine.bind(model)
+        jobs = []
+        with engine, engine.request_scope() as first:
+            with engine.request_scope() as second:
+                jobs.append(client.submit(1, 0, seed=1, requester=first))
+                time.sleep(0.05)  # the second request is still running
+                jobs.append(client.submit(1, 1, seed=2, requester=second))
+                for job in jobs:
+                    job.result(timeout=30)
+        assert len(model.calls) == 1
+        assert model.calls[0]["conditions"] == [0, 1]
+        # Closed when the second request queued, well before the window.
+        assert jobs[0].queue_wait < 0.4
+        assert jobs[1].queue_wait < 0.1
+
+    def test_finished_request_releases_a_waiting_gather(self):
+        engine = ServeEngine(gather_window=1.0)
+        client = engine.bind(StubModel())
+        with engine, engine.request_scope() as requester:
+            idle = engine.request_scope()
+            idle.__enter__()
+            job = client.submit(1, 0, seed=1, requester=requester)
+            time.sleep(0.05)
+            idle.__exit__(None, None, None)  # nobody else can join now
+            job.result(timeout=30)
+        assert job.queue_wait < 0.5
+
+    def test_adaptive_widened_window_applies_while_requests_are_missing(
+        self,
+    ):
+        from repro.api.config import TuneConfig
+        from repro.serve import AdaptivePolicy
+
+        policy = AdaptivePolicy(
+            config=TuneConfig(
+                slo_p95=0.8, degrade_ladder=(32, "bucketed"),
+                degrade_after=1, restore_after=10 ** 6, queue_high=3,
+                queue_low=1, tick_interval=0.0,
+            )
+        )
+        model = StubModel(delay=0.05)
+        engine = ServeEngine(policy=policy, gather_window=0.01)
+        client = engine.bind(model)
+        spike = [client.submit(1, 0, seed=i) for i in range(12)]
+        with engine:
+            for job in spike:
+                job.result(timeout=60)
+            assert policy.controller.level > 0
+            widened = engine.gather_window
+            assert widened > 0.01
+            with engine.request_scope() as running:
+                with engine.request_scope():  # running, nothing queued
+                    job = client.submit(1, 0, seed=99, requester=running)
+                    job.result(timeout=30)
+        assert job.queue_wait >= widened - 0.005

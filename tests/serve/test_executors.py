@@ -38,7 +38,9 @@ def disk_registry(tmp_path_factory):
     return registry
 
 
-def _run_engine(registry, executor, seeds, workers=2, count=3):
+def _run_engine(registry, executor, seeds, workers=2, count=3, masks=None):
+    """Run one job per seed; ``masks[i]`` optionally makes job i a masked
+    repaint with ``(known, keep)`` stacks."""
     engine = ServeEngine(
         registry=registry,
         executor=executor,
@@ -47,12 +49,17 @@ def _run_engine(registry, executor, seeds, workers=2, count=3):
     )
     model = registry.get_or_fit(TINY_KEY)
     client = engine.bind(model, label="tiny", key=TINY_KEY)
+    masks = masks or [None] * len(seeds)
     engine.start()
     try:
-        futures = [
-            client.submit(count=count, condition=i % 2, seed=seed)
-            for i, seed in enumerate(seeds)
-        ]
+        futures = []
+        for i, (seed, mask) in enumerate(zip(seeds, masks)):
+            stacks = {} if mask is None else dict(zip(("known", "keep"), mask))
+            futures.append(
+                client.submit(
+                    count=count, condition=i % 2, seed=seed, **stacks
+                )
+            )
         return [f.result(timeout=240) for f in futures]
     finally:
         engine.stop()
@@ -104,6 +111,32 @@ class TestDeterminismAcrossTiers:
             assert a.dtype == b.dtype
             assert np.array_equal(a, b)
         # clean shutdown left no shared-memory segments behind
+        assert leaked_segments() == []
+
+    def test_thread_and_process_masked_results_byte_identical(
+        self, disk_registry
+    ):
+        """Masked repaint plans (mixed with plain riders) ship their
+        stacks to process workers and run the identical call."""
+        rng = np.random.default_rng(7)
+        seeds = [11, 22, 33, 44]
+        masks = []
+        for i in range(len(seeds)):
+            if i == 1:
+                masks.append(None)  # a plain rider in the masked plan
+                continue
+            known = (rng.random((3, 64, 64)) < 0.4).astype(np.uint8)
+            keep = (rng.random((3, 64, 64)) < 0.5).astype(np.uint8)
+            masks.append((known, keep))
+        thread_out = _run_engine(disk_registry, "thread", seeds, masks=masks)
+        process_out = _run_engine(
+            disk_registry, "process", seeds, masks=masks
+        )
+        for out_t, out_p, mask in zip(thread_out, process_out, masks):
+            assert np.array_equal(out_t, out_p)
+            if mask is not None:
+                kept = mask[1] == 1
+                assert np.array_equal(out_t[kept], mask[0][kept])
         assert leaked_segments() == []
 
     def test_engine_stats_report_executor(self, disk_registry):
