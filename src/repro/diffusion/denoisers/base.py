@@ -16,6 +16,24 @@ import numpy as np
 
 from repro.diffusion.schedule import DiffusionSchedule
 
+#: Probabilities are clipped to ``[P_CLIP, 1 - P_CLIP]`` before a logit is
+#: taken, so logits stay finite for denoisers that predict exact 0 or 1.
+P_CLIP = 1e-9
+
+
+def logistic(z: np.ndarray) -> np.ndarray:
+    """``1 / (1 + exp(-z))`` as float64, computed in one output buffer."""
+    out = np.negative(z, dtype=np.float64)
+    np.exp(out, out=out)
+    out += 1.0
+    return np.divide(1.0, out, out=out)
+
+
+def clipped_logit(p: np.ndarray) -> np.ndarray:
+    """``log(p / (1 - p))`` of ``p`` clipped to ``[P_CLIP, 1 - P_CLIP]``."""
+    p = np.clip(p, P_CLIP, 1.0 - P_CLIP)
+    return np.log(p / (1.0 - p))
+
 
 class Denoiser(ABC):
     """Estimates ``P(x_0 = 1 | x_k, c)`` pixelwise."""
@@ -89,6 +107,21 @@ class Denoiser(ABC):
             index = np.asarray(index, dtype=np.intp)
             out[index] = self.predict_x0(stack[index], noise_level, condition)
         return out
+
+    def predict_logits_many(
+        self,
+        xk: np.ndarray,
+        noise_level: float,
+        conditions: Sequence[Optional[int]],
+    ) -> np.ndarray:
+        """Logits of :meth:`predict_x0_many`: the reverse step's entry point.
+
+        The step sharpens and calibrates in logit space, so a denoiser that
+        produces logits natively (the compiled neighbourhood tables)
+        overrides this and never forms probabilities.  The default takes
+        the clipped logit of :meth:`predict_x0_many`.
+        """
+        return clipped_logit(self.predict_x0_many(xk, noise_level, conditions))
 
     @abstractmethod
     def fit(

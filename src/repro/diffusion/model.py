@@ -11,13 +11,25 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.diffusion.denoisers.base import Denoiser
+from repro.diffusion.denoisers.base import (
+    P_CLIP,
+    Denoiser,
+    clipped_logit,
+    logistic,
+)
 from repro.diffusion.denoisers.neighborhood import NeighborhoodDenoiser
 from repro.diffusion.schedule import (
     DiffusionSchedule,
     SamplerSteps,
     validate_sampler_steps,
 )
+
+#: Step logits are clipped to ``+-logit(1 - P_CLIP)``.
+_Z_MAX = float(np.log((1.0 - P_CLIP) / P_CLIP))
+#: Density calibration is skipped when the mean is already this close.
+_DENSITY_TOL = 1e-4
+#: The density offset is searched in ``[-_OFFSET_REACH, _OFFSET_REACH]``.
+_OFFSET_REACH = 30.0
 
 
 class ConditionalDiffusionModel:
@@ -157,17 +169,49 @@ class ConditionalDiffusionModel:
         if not 0 <= k_next < k:
             raise ValueError(f"k_next {k_next} must be in [0, {k})")
         level = self.schedule.beta_bar(k)
-        p_x0 = self.denoiser.predict_x0(xk, level, condition)
-        if self.sharpen > 0:
-            # Progressive sharpening: as the noise anneals away, raise the
-            # inverse temperature of the x0 posterior.  Wobbling edges (one
-            # cell in/out per row) are the costliest artefact for
-            # legalization — they chain interval constraints across rows —
-            # and near-deterministic late steps straighten them out.
-            gamma = 1.0 + self.sharpen * (1.0 - level / 0.5)
-            p_x0 = p_x0 ** gamma / (p_x0 ** gamma + (1.0 - p_x0) ** gamma)
+        xk = np.asarray(xk, dtype=np.uint8)
+        stack = xk if xk.ndim == 3 else xk[None]
+        z = self._sharpened_logits(
+            self.denoiser.predict_logits_many(
+                stack, level, [condition] * stack.shape[0]
+            ),
+            level,
+        )
         if self.density_guidance:
-            p_x0 = _calibrate_density(p_x0, self.denoiser.target_fill(condition))
+            p_x0 = _calibrate_density(z, self.denoiser.target_fill(condition))
+        else:
+            p_x0 = logistic(z)
+        return self._sample_from_x0(
+            xk, p_x0.reshape(xk.shape), k, k_next, rng, deterministic
+        )
+
+    def _sharpened_logits(self, z: np.ndarray, level: float) -> np.ndarray:
+        """The front half of a reverse step, in logit space (float64 copy).
+
+        Progressive sharpening: as the noise anneals away, raise the inverse
+        temperature of the x0 posterior.  Wobbling edges (one cell in/out
+        per row) are the costliest artefact for legalization — they chain
+        interval constraints across rows — and near-deterministic late
+        steps straighten them out.  Tempering ``p`` by ``gamma`` is scaling
+        its logit, ``p^g / (p^g + (1-p)^g) = sigmoid(g * logit(p))``; the
+        result is clipped to the logit of ``[P_CLIP, 1 - P_CLIP]``.
+        """
+        gamma = 1.0
+        if self.sharpen > 0:
+            gamma += self.sharpen * (1.0 - level / 0.5)
+        z = np.multiply(z, gamma, dtype=np.float64)
+        return np.clip(z, -_Z_MAX, _Z_MAX, out=z)
+
+    def _sample_from_x0(
+        self,
+        xk: np.ndarray,
+        p_x0: np.ndarray,
+        k: int,
+        k_next: int,
+        rng: np.random.Generator,
+        deterministic: bool,
+    ) -> np.ndarray:
+        """The back half of a reverse step: draw ``x_{k_next}`` by ``p_x0``."""
         if self.sampler == "posterior" and k_next == k - 1:
             p_prev = self.schedule.posterior_mix(xk, p_x0, k)
             if deterministic:
@@ -358,27 +402,29 @@ class ConditionalDiffusionModel:
         if not 0 <= k_next < k:
             raise ValueError(f"k_next {k_next} must be in [0, {k})")
         level = self.schedule.beta_bar(k)
-        p_x0 = self.denoiser.predict_x0_many(xk, level, conditions)
+        p_x0 = self._p_x0_batch(xk, level, conditions)
+        return self._sample_from_x0(xk, p_x0, k, k_next, rng, deterministic)
+
+    def _p_x0_batch(
+        self,
+        xk: np.ndarray,
+        level: float,
+        conditions: Sequence[Optional[int]],
+    ) -> np.ndarray:
+        """The x0 posterior one batched step samples from.
+
+        Table logits -> sharpening -> per-item density calibration, all in
+        logit space, with one sigmoid at the end.
+        """
+        z = self._sharpened_logits(
+            self.denoiser.predict_logits_many(xk, level, conditions), level
+        )
+        if not self.density_guidance:
+            return logistic(z)
         targets = np.asarray(
             [self.denoiser.target_fill(c) for c in conditions], dtype=np.float64
         )
-        if self.sharpen > 0:
-            gamma = 1.0 + self.sharpen * (1.0 - level / 0.5)
-            p_x0 = p_x0 ** gamma / (p_x0 ** gamma + (1.0 - p_x0) ** gamma)
-        if self.density_guidance:
-            p_x0 = _calibrate_density_batch(p_x0, targets)
-        if self.sampler == "posterior" and k_next == k - 1:
-            p_prev = self.schedule.posterior_mix(xk, p_x0, k)
-            if deterministic:
-                return (p_prev > 0.5).astype(np.uint8)
-            return (rng.random(xk.shape) < p_prev).astype(np.uint8)
-        if deterministic:
-            x0_hat = (p_x0 > 0.5).astype(np.uint8)
-        else:
-            x0_hat = (rng.random(xk.shape) < p_x0).astype(np.uint8)
-        if k_next == 0:
-            return x0_hat
-        return self.schedule.forward_sample(x0_hat, k_next, rng)
+        return _calibrate_density_batch(z, targets)
 
     def polish_batch(
         self,
@@ -573,46 +619,50 @@ def _row_quantiles(p: np.ndarray, qs: np.ndarray) -> np.ndarray:
 
 
 def _calibrate_density_batch(
-    p: np.ndarray, targets: np.ndarray, bins: int = 512
+    z: np.ndarray, targets: np.ndarray, bins: int = 512
 ) -> np.ndarray:
-    """Per-item :func:`_calibrate_density` over a ``(B, H, W)`` stack.
+    """Per-item :func:`_calibrate_density` over a ``(B, H, W)`` logit stack.
 
-    Same moment-matching objective, different solver: the bisection for the
-    shared logit offset runs on a per-item *histogram* of the logits (with
-    bin-mean representatives), so the 40 halving steps touch ``bins`` values
-    per item instead of the full pixel map, and only one full-array sigmoid
-    is paid at the end.  The density error is second-order in the bin width
-    — empirically ~1e-5, inside the exact solver's 1e-4 fast-path tolerance
-    — which is what makes the batched serving trajectory cheaper per sample
-    than the sequential path it replaces.
+    Returns the calibrated probabilities.  Same moment-matching objective,
+    solved on a per-item *histogram* of the logits (with bin-mean
+    representatives): the Newton solve for the shared logit offset touches
+    ``bins`` values per item instead of the full pixel map.  ``exp(-z)`` is
+    taken once over the stack; the fast-path mean check and the calibrated
+    result ``1 / (1 + exp(-z) * exp(-t))`` both reuse it.  The density
+    error is second-order in the bin width — empirically ~1e-5, inside the
+    exact solver's 1e-4 fast-path tolerance.
 
     Every stage is vectorized across the stack (the per-row histograms are
-    two ``bincount`` calls over row-offset bin indices, the bisection runs
-    on ``(B, bins)`` arrays): a serving batch costs a handful of large
-    array operations instead of thousands of tiny per-row ones, which both
-    speeds the step up and keeps the engine's executor pool out of the
-    interpreter lock for most of it.
+    two ``bincount`` calls over row-offset bin indices, the solve runs on
+    ``(B, bins)`` arrays): a serving batch costs a handful of large array
+    operations instead of thousands of tiny per-row ones, which both speeds
+    the step up and keeps the engine's executor pool out of the interpreter
+    lock for most of it.
     """
-    clipped = np.clip(p, 1e-9, 1.0 - 1e-9)
-    means = clipped.mean(axis=(1, 2))
-    needs = np.abs(means - targets) >= 1e-4
-    if not needs.any():
-        return clipped
-    out = clipped.copy()
-    rows = np.flatnonzero(needs)
-    logits = np.log(clipped[rows] / (1.0 - clipped[rows]))
-    flat = logits.reshape(len(rows), -1)
-    size = flat.shape[1]
+    expz = np.negative(z)
+    np.exp(expz, out=expz)
+    p = expz + 1.0
+    np.divide(1.0, p, out=p)
+    means = p.mean(axis=(1, 2))
+    targets = np.asarray(targets, dtype=np.float64)
+    rows = np.flatnonzero(np.abs(means - targets) >= _DENSITY_TOL)
+    if not len(rows):
+        return p
+    every = len(rows) == len(z)
+    flat = (z if every else z[rows]).reshape(len(rows), -1)
     lo_edge = flat.min(axis=1, keepdims=True)
     span = flat.max(axis=1, keepdims=True) - lo_edge
     # Degenerate rows (constant logits) all land in bin 0, whose
-    # representative is then the exact value — same result as the scalar
-    # solver's single-bin histogram.
-    bin_idx = np.floor(
-        (flat - lo_edge) / np.where(span > 0, span, 1.0) * bins
-    ).astype(np.intp)
-    np.clip(bin_idx, 0, bins - 1, out=bin_idx)
-    bin_idx += np.arange(len(rows), dtype=np.intp)[:, None] * bins
+    # representative is then the exact value — same result as the exact
+    # solver on the full map.  Bin positions are non-negative, so the cast
+    # floors them.
+    position = flat - lo_edge
+    position /= np.where(span > 0, span, 1.0)
+    position *= bins
+    bin_idx = position.astype(np.intp)
+    np.minimum(bin_idx, bins - 1, out=bin_idx)
+    if len(rows) > 1:
+        bin_idx += np.arange(len(rows), dtype=np.intp)[:, None] * bins
     counts = np.bincount(
         bin_idx.ravel(), minlength=len(rows) * bins
     ).reshape(len(rows), bins)
@@ -621,40 +671,93 @@ def _calibrate_density_batch(
     ).reshape(len(rows), bins)
     # Empty bins get zero weight, so their representative value is moot.
     reps = sums / np.maximum(counts, 1)
-    weights = counts / size
-    lo = np.full(len(rows), -30.0)
-    hi = np.full(len(rows), 30.0)
-    wanted = np.asarray(targets, dtype=np.float64)[rows]
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        mean = (weights / (1.0 + np.exp(-(reps + mid[:, None])))).sum(axis=1)
-        below = mean < wanted
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-    offset = (0.5 * (lo + hi)).reshape(-1, 1, 1)
-    out[rows] = 1.0 / (1.0 + np.exp(-(logits + offset)))
-    return out
+    scales = np.exp(-_density_offsets(
+        reps, counts / flat.shape[1], targets[rows], means[rows]
+    ))[:, None, None]
+    if every:
+        expz *= scales
+        expz += 1.0
+        return np.divide(1.0, expz, out=expz)
+    p[rows] = 1.0 / (1.0 + expz[rows] * scales)
+    return p
 
 
-def _calibrate_density(p: np.ndarray, target: float) -> np.ndarray:
-    """Moment-matching density guidance.
+def _calibrate_density(z: np.ndarray, target: float) -> np.ndarray:
+    """Moment-matching density guidance on a logit map; returns probabilities.
 
-    Shifts the probability map in logit space so its mean equals the class's
-    clean-data fill rate.  Local structure (the *relative* ordering of
-    pixels) is untouched; only the global density is pinned, which prevents
-    the density drift local denoisers exhibit over long reverse chains.
-    Solved by bisection on the shared logit offset.
+    Shifts the map in logit space so the mean probability equals the
+    class's clean-data fill rate.  Local structure (the *relative* ordering
+    of pixels) is untouched; only the global density is pinned, which
+    prevents the density drift local denoisers exhibit over long reverse
+    chains.  The offset is solved jointly and exactly over every pixel of
+    the map.
     """
-    p = np.clip(p, 1e-9, 1.0 - 1e-9)
-    if abs(float(p.mean()) - target) < 1e-4:
+    p = logistic(z)
+    mean = float(p.mean())
+    if abs(mean - target) < _DENSITY_TOL:
         return p
-    logits = np.log(p / (1.0 - p))
-    lo, hi = -30.0, 30.0
-    for _ in range(40):
-        mid = 0.5 * (lo + hi)
-        mean = float((1.0 / (1.0 + np.exp(-(logits + mid)))).mean())
-        if mean < target:
-            lo = mid
-        else:
-            hi = mid
-    return 1.0 / (1.0 + np.exp(-(logits + 0.5 * (lo + hi))))
+    flat = z.reshape(1, -1)
+    offset = _density_offsets(
+        flat,
+        np.full(flat.shape, 1.0 / flat.shape[1]),
+        np.array([target], dtype=np.float64),
+        np.array([mean]),
+    )
+    return logistic(z + offset[0])
+
+
+def _density_offsets(
+    reps: np.ndarray,
+    weights: np.ndarray,
+    targets: np.ndarray,
+    means: np.ndarray,
+    tol: float = 1e-10,
+    max_iter: int = 100,
+) -> np.ndarray:
+    """Per-row offsets ``t`` with ``sum(w * sigmoid(reps + t)) == target``.
+
+    Each root is searched in ``[-30, 30]`` by a bracketed Newton solve: a
+    row keeps a bracket around its root, proposes a Newton step from the
+    current point (a bisection when the step leaves the bracket), and stops
+    once the bracket is under ``tol``; the answer is the bracket midpoint.
+    Each Newton proposal is pushed ``tol / 4`` further along its direction,
+    so once the iteration has converged the next point lands just past the
+    root and closes the bracket from the far side.  ``means`` (the weighted
+    mean at ``t = 0``) seed the start ``logit(target) - logit(mean)``, exact
+    for constant rows.
+    """
+    n = len(targets)
+    out = np.empty(n)
+    lo = np.full(n, -_OFFSET_REACH)
+    hi = np.full(n, _OFFSET_REACH)
+    t = np.clip(
+        clipped_logit(targets) - clipped_logit(means),
+        -_OFFSET_REACH + 1.0, _OFFSET_REACH - 1.0,
+    )
+    active = np.arange(n)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for _ in range(max_iter):
+            s = logistic(reps + t[:, None])
+            ws = weights * s
+            gap = ws.sum(axis=1) - targets
+            below = gap < 0
+            lo = np.where(below, t, lo)
+            hi = np.where(below, hi, t)
+            done = hi - lo < tol
+            if done.any():
+                out[active[done]] = 0.5 * (lo[done] + hi[done])
+                if done.all():
+                    return out
+                keep = ~done
+                active, reps, weights, targets, ws, s = (
+                    active[keep], reps[keep], weights[keep], targets[keep],
+                    ws[keep], s[keep],
+                )
+                t, lo, hi, gap = t[keep], lo[keep], hi[keep], gap[keep]
+            slope = (ws - ws * s).sum(axis=1)
+            proposal = t - gap / slope - np.sign(gap) * (0.25 * tol)
+            t = np.where(
+                (proposal > lo) & (proposal < hi), proposal, 0.5 * (lo + hi)
+            )
+    out[active] = 0.5 * (lo + hi)
+    return out

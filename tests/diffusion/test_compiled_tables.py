@@ -163,6 +163,24 @@ class TestVectorizedFit:
         # finest scale.
         assert info["observations"] == 7 * 12 * 16 * 16
 
+    def test_counts_are_uint32_and_float_counts_predict_the_same(self):
+        """Legacy pickles hold float64 counts; both dtypes give one answer."""
+        rng = np.random.default_rng(8)
+        topos = (rng.random((6, 16, 16)) < 0.4).astype(np.uint8)
+        d = NeighborhoodDenoiser(n_classes=0, scales=(1, 2), n_buckets=4)
+        d.fit(topos, None, DiffusionSchedule.linear(8), rng)
+        assert all(c.dtype == np.uint32 for c in d._counts.values())
+        noisy = (rng.random((2, 16, 16)) < 0.5).astype(np.uint8)
+        tables = {s: t.copy() for s, t in d._logit_tables.items()}
+        reference = d._predict_x0_many_reference(noisy, 0.2, [None, None])
+        d._counts = {s: c.astype(np.float64) for s, c in d._counts.items()}
+        d.compile_tables(force=True)
+        for s, table in tables.items():
+            assert np.array_equal(d._logit_tables[s], table)
+        assert np.array_equal(
+            d._predict_x0_many_reference(noisy, 0.2, [None, None]), reference
+        )
+
     def test_round_robin_covers_every_bucket(self):
         rng = np.random.default_rng(6)
         topos = (rng.random((4, 16, 16)) < 0.3).astype(np.uint8)

@@ -8,6 +8,7 @@ from repro.diffusion import (
     DiffusionSchedule,
     MarginalDenoiser,
 )
+from repro.diffusion.denoisers.base import clipped_logit
 from repro.diffusion.model import _calibrate_density
 from repro.geometry import diagonal_touch_pairs
 
@@ -103,15 +104,15 @@ class TestDensityCalibration:
     def test_pins_mean(self):
         rng = np.random.default_rng(0)
         p = rng.random((64, 64)) * 0.2  # mean ~0.1
-        calibrated = _calibrate_density(p, 0.35)
+        calibrated = _calibrate_density(clipped_logit(p), 0.35)
         assert calibrated.mean() == pytest.approx(0.35, abs=0.01)
 
     def test_preserves_ordering(self):
         p = np.array([[0.1, 0.4, 0.8]])
-        c = _calibrate_density(p, 0.6)
+        c = _calibrate_density(clipped_logit(p), 0.6)
         assert c[0, 0] < c[0, 1] < c[0, 2]
 
     def test_noop_when_matching(self):
         p = np.full((8, 8), 0.3)
-        c = _calibrate_density(p, 0.3)
+        c = _calibrate_density(clipped_logit(p), 0.3)
         assert np.allclose(c, 0.3, atol=1e-3)
